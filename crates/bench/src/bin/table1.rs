@@ -6,10 +6,13 @@
 //! ```
 //!
 //! Absolute wall-clock values differ from the paper's 2008 host and its
-//! native-compiled SystemC TLMs (ours are interpreted); the *shape* is the
+//! native-compiled SystemC TLMs. Ours run each process on the CDFG
+//! interpreter, which compiles every function once into a flat, pre-decoded
+//! instruction stream but not to native code, so the TLM-vs-ISS/PCAM
+//! ratios are a few ×, not the paper's ~10⁴×. The *shape* is the
 //! reproduced claim: annotation stays in seconds and grows with the number
 //! of custom HW units, timed TLM simulation costs about the same as
-//! functional TLM, and ISS/PCAM are orders of magnitude slower.
+//! functional TLM, and ISS/PCAM are the slow end.
 
 use std::time::Duration;
 
@@ -78,8 +81,8 @@ fn main() {
     println!("Table 1 — annotation and simulation time ({} frames)", params.frames);
     println!("{}", table.render());
     println!(
-        "Note: this reproduction's TLMs are interpreted, not native-compiled,\n\
-         so TLM-vs-ISS/PCAM ratios are smaller than the paper's; the ordering\n\
-         and the annotation-time trend are the reproduced result."
+        "Note: this reproduction's TLMs run on a pre-decoded interpreter, not\n\
+         native code, so TLM-vs-ISS/PCAM ratios are smaller than the paper's;\n\
+         the ordering and the annotation-time trend are the reproduced result."
     );
 }

@@ -10,6 +10,30 @@
 //! Execution hooks observe block entries, branches and memory accesses, so
 //! the timed TLM can accumulate annotated basic-block delays and profilers
 //! can gather statistics without touching the interpreter core.
+//!
+//! # Pre-decoded form
+//!
+//! A machine does not walk the [`Module`]. On construction it compiles
+//! every function once into a flat vector of `Copy` instructions:
+//!
+//! - each block's ops are followed by its terminator, and jump, branch
+//!   and call targets are resolved to instruction offsets;
+//! - register operands are dense `u32` indices into the current frame's
+//!   register window, and call arguments live in a side pool;
+//! - the common binary operators are instructions of their own, so there
+//!   is no second dispatch on the operator;
+//! - array accesses carry their precomputed word base, length and
+//!   global/local storage.
+//!
+//! Registers and local arrays of all activations live in two contiguous
+//! stacks, each frame a window at a base offset. The run loop keeps the
+//! program counter, the register window and the current function's
+//! instructions in locals and reloads them only on call and return.
+//!
+//! The decoded engine is observably identical to the tree-walker it
+//! replaced, which survives unmodified as [`reference::Machine`]: the same
+//! ops consume fuel, and hooks, [`ExecStats`], traps, outputs and return
+//! values match event for event.
 
 use std::fmt;
 use std::sync::Arc;
@@ -17,9 +41,11 @@ use std::sync::Arc;
 use tlm_minic::ast::{eval_binop, wrap_i32, BinOp, UnOp};
 
 use crate::ir::{
-    ArrayScope, BlockId, ChanId, FuncId, MemoryLayout, Module, OpKind, Terminator, VReg,
-    GLOBALS_BASE, STACK_BASE, WORD_BYTES,
+    ArrayScope, BlockId, ChanId, FuncId, MemoryLayout, Module, OpKind, Terminator, GLOBALS_BASE,
+    STACK_BASE, WORD_BYTES,
 };
+
+pub mod reference;
 
 /// Maximum call depth before the machine traps.
 const MAX_FRAMES: usize = 4096;
@@ -107,28 +133,324 @@ pub struct ExecStats {
     pub calls: u64,
 }
 
+/// Register operand meaning "no register" (a call or receive whose value
+/// is discarded, a `return` without a value).
+const NO_REG: u32 = u32::MAX;
+
+/// One pre-decoded instruction. Register operands index the current
+/// frame's register window; `pc` operands are offsets into the current
+/// function's instruction vector. Every variant but the three
+/// terminators (`Jump`, `Branch`, `Return`) is one IR op and consumes one
+/// unit of fuel.
+#[derive(Debug, Clone, Copy)]
+enum Inst {
+    Const {
+        dst: u32,
+        value: i32,
+    },
+    Copy(R2),
+    Neg(R2),
+    Not(R2),
+    BitNot(R2),
+    Add(R3),
+    Sub(R3),
+    Mul(R3),
+    Div(R3),
+    Rem(R3),
+    Shl(R3),
+    Shr(R3),
+    Lt(R3),
+    Le(R3),
+    Gt(R3),
+    Ge(R3),
+    Eq(R3),
+    Ne(R3),
+    And(R3),
+    Or(R3),
+    Xor(R3),
+    /// Any other binary operator (never trapping), via [`eval_binop`].
+    Logic(BinOp, R3),
+    LoadGlobal(Access),
+    LoadLocal(Access),
+    StoreGlobal(Access),
+    StoreLocal(Access),
+    Output {
+        src: u32,
+    },
+    Recv {
+        chan: u32,
+        dst: u32,
+    },
+    Send {
+        chan: u32,
+        src: u32,
+    },
+    /// Arguments are `pool[args..args + nargs]`; the callee's value goes
+    /// to `dst` in this frame.
+    Call {
+        func: u32,
+        args: u32,
+        nargs: u32,
+        dst: u32,
+    },
+    Jump {
+        pc: u32,
+        block: u32,
+    },
+    Branch {
+        cond: u32,
+        then_pc: u32,
+        then_bb: u32,
+        else_pc: u32,
+        else_bb: u32,
+    },
+    Return {
+        src: u32,
+    },
+}
+
+/// Operands of a unary op: `r[dst] = f(r[a])`.
+#[derive(Debug, Clone, Copy)]
+struct R2 {
+    dst: u32,
+    a: u32,
+}
+
+impl R2 {
+    #[inline(always)]
+    fn apply(self, r: &mut [i64], f: impl Fn(i64) -> i64) {
+        r[self.dst as usize] = f(r[self.a as usize]);
+    }
+}
+
+/// Operands of a binary op: `r[dst] = f(r[a], r[b])`.
+#[derive(Debug, Clone, Copy)]
+struct R3 {
+    dst: u32,
+    a: u32,
+    b: u32,
+}
+
+impl R3 {
+    #[inline(always)]
+    fn apply(self, r: &mut [i64], f: impl Fn(i64, i64) -> i64) {
+        r[self.dst as usize] = f(r[self.a as usize], r[self.b as usize]);
+    }
+}
+
+/// A bounds-checked array access. `r[reg]` receives a load or supplies a
+/// store; `r[index]` is the element index.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    reg: u32,
+    index: u32,
+    /// The array's first word within the globals or the frame's locals.
+    base: u32,
+    len: u32,
+    /// Names the array in an out-of-bounds trap.
+    array: u32,
+}
+
+impl Access {
+    /// The storage word of element `index`, or `None` out of bounds.
+    #[inline(always)]
+    fn slot(self, index: i64) -> Option<u32> {
+        (0..i64::from(self.len)).contains(&index).then(|| self.base + index as u32)
+    }
+}
+
+/// One function, pre-decoded.
 #[derive(Debug)]
+struct FuncCode {
+    code: Vec<Inst>,
+    num_vregs: usize,
+    params: Vec<u32>,
+    /// A fresh activation's local-array storage: initializers in place,
+    /// zeros elsewhere.
+    locals_init: Vec<i64>,
+    /// `locals_init.len()` in bytes, the frame's share of the stack.
+    frame_bytes: u32,
+}
+
+/// A whole module, pre-decoded.
+#[derive(Debug)]
+struct Program {
+    funcs: Vec<FuncCode>,
+    /// Call-argument registers, referenced by [`Inst::Call`].
+    pool: Vec<u32>,
+}
+
+impl Program {
+    fn decode(module: &Module, layout: &MemoryLayout) -> Program {
+        let mut pool = Vec::new();
+        let funcs = module
+            .functions_iter()
+            .map(|(fid, func)| {
+                let frame_words = layout.frame_words[fid.0 as usize] as usize;
+                let mut locals_init = vec![0i64; frame_words];
+                for &aid in &func.local_arrays {
+                    let base = (layout.array_base[aid.0 as usize] / WORD_BYTES) as usize;
+                    for (j, &v) in module.arrays[aid.0 as usize].init.iter().enumerate() {
+                        locals_init[base + j] = wrap_i32(v);
+                    }
+                }
+                FuncCode {
+                    code: decode_function(module, layout, fid, &mut pool),
+                    num_vregs: func.num_vregs as usize,
+                    params: func.params.iter().map(|r| r.0).collect(),
+                    frame_bytes: (frame_words as u32) * WORD_BYTES,
+                    locals_init,
+                }
+            })
+            .collect();
+        Program { funcs, pool }
+    }
+}
+
+fn decode_function(
+    module: &Module,
+    layout: &MemoryLayout,
+    fid: FuncId,
+    pool: &mut Vec<u32>,
+) -> Vec<Inst> {
+    let func = module.function(fid);
+    // Each block is its ops followed by its terminator.
+    let mut block_pc = Vec::with_capacity(func.blocks.len());
+    let mut pc = 0u32;
+    for block in &func.blocks {
+        block_pc.push(pc);
+        pc += block.ops.len() as u32 + 1;
+    }
+    let mut code = Vec::with_capacity(pc as usize);
+    for (bid, block) in func.blocks_iter() {
+        for (i, op) in block.ops.iter().enumerate() {
+            let arg = |n: usize| op.args[n].0;
+            let dst = || match op.result {
+                Some(r) => r.0,
+                None => panic!("`{}` {bid} op {i} has no result register", func.name),
+            };
+            // The array's storage and word base, and its operands.
+            let access = |array: crate::ir::ArrayId, reg: u32| {
+                let data = module.array(array);
+                let base = layout.array_base[array.0 as usize];
+                let (global, base) = match data.scope {
+                    ArrayScope::Global => (true, (base - GLOBALS_BASE) / WORD_BYTES),
+                    ArrayScope::Local(_) => (false, base / WORD_BYTES),
+                };
+                let len = u32::try_from(data.len).expect("array fits the address space");
+                (global, Access { reg, index: arg(0), base, len, array: array.0 })
+            };
+            code.push(match &op.kind {
+                OpKind::Const(v) => Inst::Const { dst: dst(), value: wrap_i32(*v) as i32 },
+                OpKind::Copy => Inst::Copy(R2 { dst: dst(), a: arg(0) }),
+                OpKind::Un(un) => {
+                    let r = R2 { dst: dst(), a: arg(0) };
+                    match un {
+                        UnOp::Neg => Inst::Neg(r),
+                        UnOp::Not => Inst::Not(r),
+                        UnOp::BitNot => Inst::BitNot(r),
+                    }
+                }
+                OpKind::Bin(bin) => {
+                    let r = R3 { dst: dst(), a: arg(0), b: arg(1) };
+                    match bin {
+                        BinOp::Add => Inst::Add(r),
+                        BinOp::Sub => Inst::Sub(r),
+                        BinOp::Mul => Inst::Mul(r),
+                        BinOp::Div => Inst::Div(r),
+                        BinOp::Rem => Inst::Rem(r),
+                        BinOp::Shl => Inst::Shl(r),
+                        BinOp::Shr => Inst::Shr(r),
+                        BinOp::Lt => Inst::Lt(r),
+                        BinOp::Le => Inst::Le(r),
+                        BinOp::Gt => Inst::Gt(r),
+                        BinOp::Ge => Inst::Ge(r),
+                        BinOp::Eq => Inst::Eq(r),
+                        BinOp::Ne => Inst::Ne(r),
+                        BinOp::BitAnd => Inst::And(r),
+                        BinOp::BitOr => Inst::Or(r),
+                        BinOp::BitXor => Inst::Xor(r),
+                        op @ (BinOp::LogAnd | BinOp::LogOr) => Inst::Logic(*op, r),
+                    }
+                }
+                OpKind::Load { array } => match access(*array, dst()) {
+                    (true, m) => Inst::LoadGlobal(m),
+                    (false, m) => Inst::LoadLocal(m),
+                },
+                OpKind::Store { array } => match access(*array, arg(1)) {
+                    (true, m) => Inst::StoreGlobal(m),
+                    (false, m) => Inst::StoreLocal(m),
+                },
+                OpKind::Output => Inst::Output { src: arg(0) },
+                OpKind::ChanRecv { chan } => {
+                    Inst::Recv { chan: chan.0, dst: op.result.map_or(NO_REG, |r| r.0) }
+                }
+                OpKind::ChanSend { chan } => Inst::Send { chan: chan.0, src: arg(0) },
+                OpKind::Call { func: callee } => {
+                    let args = pool.len() as u32;
+                    pool.extend(op.args.iter().map(|r| r.0));
+                    Inst::Call {
+                        func: callee.0,
+                        args,
+                        nargs: op.args.len() as u32,
+                        dst: op.result.map_or(NO_REG, |r| r.0),
+                    }
+                }
+            });
+        }
+        code.push(match &block.term {
+            Terminator::Jump(target) => {
+                Inst::Jump { pc: block_pc[target.0 as usize], block: target.0 }
+            }
+            Terminator::Branch { cond, then_bb, else_bb } => Inst::Branch {
+                cond: cond.0,
+                then_pc: block_pc[then_bb.0 as usize],
+                then_bb: then_bb.0,
+                else_pc: block_pc[else_bb.0 as usize],
+                else_bb: else_bb.0,
+            },
+            Terminator::Return(value) => Inst::Return { src: value.map_or(NO_REG, |v| v.0) },
+        });
+    }
+    code
+}
+
+/// One activation. The top frame's `pc` and `block` are only current
+/// while the machine is stopped; the run loop keeps them in locals.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    func: FuncId,
-    block: BlockId,
-    op_idx: usize,
-    vregs: Vec<i64>,
-    /// Storage for this activation's local arrays, laid out per
-    /// [`MemoryLayout`].
-    locals: Vec<i64>,
+    func: u32,
+    /// Where execution continues: the next instruction of a stopped top
+    /// frame, or the instruction after the call of a caller frame.
+    pc: u32,
+    /// The block `pc` lies in.
+    block: u32,
+    /// Start of this activation's register window.
+    reg_base: usize,
+    /// Start of this activation's local-array storage.
+    local_base: usize,
     /// Absolute byte address of this frame's local-array area.
     frame_base: u32,
-    /// Where to store the callee's return value in *this* frame.
-    pending_result: Option<VReg>,
+    /// Caller register that receives the return value, or [`NO_REG`].
+    ret_dst: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Running,
-    AwaitRecv(ChanId),
-    AwaitSend(ChanId),
+    AwaitRecv { chan: ChanId, dst: u32 },
+    AwaitSend { chan: ChanId, value: i64 },
     Finished,
     Trapped,
+}
+
+/// Why the run loop stopped.
+enum Stop {
+    OutOfFuel,
+    Done(Option<i64>),
+    Recv { chan: ChanId, dst: u32 },
+    Send { chan: ChanId, value: i64 },
+    Trap(Trap),
 }
 
 /// A resumable interpreter over one [`Module`].
@@ -137,8 +459,12 @@ enum State {
 #[derive(Debug)]
 pub struct Machine {
     module: Arc<Module>,
-    layout: MemoryLayout,
+    program: Program,
     globals: Vec<i64>,
+    /// Register windows of all activations, innermost last.
+    regs: Vec<i64>,
+    /// Local-array storage of all activations, innermost last.
+    locals: Vec<i64>,
     frames: Vec<Frame>,
     state: State,
     outputs: Vec<i64>,
@@ -178,19 +504,41 @@ impl Machine {
                 }
             }
         }
-        let mut machine = Machine {
+        let program = Program::decode(&module, &layout);
+        let code = &program.funcs[entry.0 as usize];
+        assert_eq!(
+            args.len(),
+            code.params.len(),
+            "call to `{}` with wrong argument count",
+            module.function(entry).name
+        );
+        let mut regs = vec![0i64; code.num_vregs];
+        for (&reg, &value) in code.params.iter().zip(args) {
+            regs[reg as usize] = wrap_i32(value);
+        }
+        let frame = Frame {
+            func: entry.0,
+            pc: 0,
+            block: 0,
+            reg_base: 0,
+            local_base: 0,
+            frame_base: STACK_BASE - code.frame_bytes,
+            ret_dst: NO_REG,
+        };
+        let locals = code.locals_init.clone();
+        Machine {
             module,
-            layout,
+            program,
             globals,
-            frames: Vec::new(),
+            regs,
+            locals,
+            frames: vec![frame],
             state: State::Running,
             outputs: Vec::new(),
             stats: ExecStats::default(),
             return_value: None,
             entry_pending: true,
-        };
-        machine.push_frame(entry, args);
-        machine
+        }
     }
 
     /// The observable output stream produced so far by `out()`.
@@ -224,16 +572,13 @@ impl Machine {
     ///
     /// Panics if the machine is not in the [`Exec::RecvPending`] state.
     pub fn complete_recv(&mut self, value: i64) {
-        let State::AwaitRecv(_) = self.state else {
+        let State::AwaitRecv { dst, .. } = self.state else {
             panic!("complete_recv called but machine is not awaiting a receive");
         };
-        let frame = self.frames.last_mut().expect("awaiting machine has a frame");
-        let func = &self.module.functions[frame.func.0 as usize];
-        let op = &func.blocks[frame.block.0 as usize].ops[frame.op_idx];
-        if let Some(result) = op.result {
-            frame.vregs[result.0 as usize] = wrap_i32(value);
+        if dst != NO_REG {
+            let frame = self.frames.last().expect("awaiting machine has a frame");
+            self.regs[frame.reg_base + dst as usize] = wrap_i32(value);
         }
-        frame.op_idx += 1;
         self.stats.ops += 1;
         self.state = State::Running;
     }
@@ -244,11 +589,9 @@ impl Machine {
     ///
     /// Panics if the machine is not in the [`Exec::SendPending`] state.
     pub fn complete_send(&mut self) {
-        let State::AwaitSend(_) = self.state else {
+        let State::AwaitSend { .. } = self.state else {
             panic!("complete_send called but machine is not awaiting a send");
         };
-        let frame = self.frames.last_mut().expect("awaiting machine has a frame");
-        frame.op_idx += 1;
         self.stats.ops += 1;
         self.state = State::Running;
     }
@@ -259,18 +602,12 @@ impl Machine {
     }
 
     /// Runs, executing at most `fuel` operations.
-    pub fn run_fuel(&mut self, hook: &mut impl ExecHook, mut fuel: u64) -> Exec {
+    pub fn run_fuel(&mut self, hook: &mut impl ExecHook, fuel: u64) -> Exec {
         match self.state {
             State::Running => {}
-            State::AwaitRecv(ch) => return Exec::RecvPending(ch),
-            State::AwaitSend(ch) => {
-                // Re-deliver the pending value.
-                let frame = self.frames.last().expect("awaiting machine has a frame");
-                let func = &self.module.functions[frame.func.0 as usize];
-                let op = &func.blocks[frame.block.0 as usize].ops[frame.op_idx];
-                let value = frame.vregs[op.args[0].0 as usize];
-                return Exec::SendPending(ch, value);
-            }
+            State::AwaitRecv { chan, .. } => return Exec::RecvPending(chan),
+            // Re-deliver the pending value.
+            State::AwaitSend { chan, value } => return Exec::SendPending(chan, value),
             State::Finished => return Exec::Done,
             State::Trapped => panic!("running a trapped machine"),
         }
@@ -278,238 +615,229 @@ impl Machine {
             self.entry_pending = false;
             let frame = self.frames.last().expect("machine has an entry frame");
             self.stats.blocks += 1;
-            hook.on_block(frame.func, frame.block);
+            hook.on_block(FuncId(frame.func), BlockId(frame.block));
         }
-        loop {
-            if fuel == 0 {
-                return Exec::OutOfFuel;
-            }
-            let Some(frame) = self.frames.last_mut() else {
+        let stop = self.execute(hook, fuel);
+        match stop {
+            Stop::OutOfFuel => Exec::OutOfFuel,
+            Stop::Done(value) => {
+                self.return_value = value;
                 self.state = State::Finished;
-                return Exec::Done;
-            };
-            let func_id = frame.func;
-            let func = &self.module.functions[func_id.0 as usize];
-            let block = &func.blocks[frame.block.0 as usize];
-
-            if frame.op_idx >= block.ops.len() {
-                // Terminator.
-                match &block.term {
-                    Terminator::Jump(target) => {
-                        frame.block = *target;
-                        frame.op_idx = 0;
-                        self.stats.blocks += 1;
-                        hook.on_block(func_id, *target);
-                    }
-                    Terminator::Branch { cond, then_bb, else_bb } => {
-                        let taken = frame.vregs[cond.0 as usize] != 0;
-                        let from = frame.block;
-                        let target = if taken { *then_bb } else { *else_bb };
-                        frame.block = target;
-                        frame.op_idx = 0;
-                        self.stats.branches += 1;
-                        self.stats.branches_taken += u64::from(taken);
-                        self.stats.blocks += 1;
-                        hook.on_branch(func_id, from, taken);
-                        hook.on_block(func_id, target);
-                    }
-                    Terminator::Return(value) => {
-                        let ret = value.map(|v| frame.vregs[v.0 as usize]);
-                        let finished = self.frames.len() == 1;
-                        let popped = self.frames.pop().expect("frame checked above");
-                        if finished {
-                            self.return_value = ret;
-                            self.state = State::Finished;
-                            return Exec::Done;
-                        }
-                        let _ = popped;
-                        let caller = self.frames.last_mut().expect("caller frame exists");
-                        // pending_result lives on the caller: set by the call op.
-                        if let Some(dest) = caller.pending_result.take() {
-                            caller.vregs[dest.0 as usize] =
-                                ret.expect("callee signature guarantees a value");
-                        }
-                        caller.op_idx += 1;
-                    }
-                }
-                continue;
+                Exec::Done
             }
+            Stop::Recv { chan, dst } => {
+                self.state = State::AwaitRecv { chan, dst };
+                Exec::RecvPending(chan)
+            }
+            Stop::Send { chan, value } => {
+                self.state = State::AwaitSend { chan, value };
+                Exec::SendPending(chan, value)
+            }
+            Stop::Trap(trap) => {
+                self.state = State::Trapped;
+                Exec::Trap(trap)
+            }
+        }
+    }
 
-            let op = &block.ops[frame.op_idx];
+    /// The run loop: executes at most `budget` ops from the top frame's
+    /// saved position, then saves the position back. An op that suspends
+    /// or traps consumes fuel but is not counted in [`ExecStats::ops`]; a
+    /// channel op is counted when it completes.
+    fn execute(&mut self, hook: &mut impl ExecHook, budget: u64) -> Stop {
+        let Machine { module, program, globals, regs, locals, frames, outputs, stats, .. } = self;
+        let mut counts = *stats;
+        let mut fuel = budget;
+        let top = *frames.last().expect("a running machine has a frame");
+        let mut func = top.func;
+        let mut pc = top.pc as usize;
+        let mut block = top.block;
+        let mut lb = top.local_base;
+        let mut frame_base = top.frame_base;
+        let mut code: &[Inst] = &program.funcs[func as usize].code;
+        let mut r: &mut [i64] = &mut regs[top.reg_base..];
+        let oob = |m: Access, index: i64| {
+            Stop::Trap(Trap::OutOfBounds {
+                array: module.arrays[m.array as usize].name.clone(),
+                index,
+                len: m.len as usize,
+            })
+        };
+        let stop = loop {
+            if fuel == 0 {
+                break Stop::OutOfFuel;
+            }
+            let inst = code[pc];
+            pc += 1;
             fuel -= 1;
-            match &op.kind {
-                OpKind::Const(v) => {
-                    let dest = op.result.expect("const has a result");
-                    frame.vregs[dest.0 as usize] = wrap_i32(*v);
+            match inst {
+                Inst::Const { dst, value } => r[dst as usize] = i64::from(value),
+                Inst::Copy(o) => o.apply(r, |a| a),
+                Inst::Neg(o) => o.apply(r, |a| wrap_i32(a.wrapping_neg())),
+                Inst::Not(o) => o.apply(r, |a| i64::from(a == 0)),
+                Inst::BitNot(o) => o.apply(r, |a| wrap_i32(!a)),
+                Inst::Add(o) => o.apply(r, |a, b| wrap_i32(a.wrapping_add(b))),
+                Inst::Sub(o) => o.apply(r, |a, b| wrap_i32(a.wrapping_sub(b))),
+                Inst::Mul(o) => o.apply(r, |a, b| wrap_i32(a.wrapping_mul(b))),
+                Inst::Div(o) => {
+                    if r[o.b as usize] == 0 {
+                        break Stop::Trap(Trap::DivByZero);
+                    }
+                    o.apply(r, |a, b| i64::from((a as i32).wrapping_div(b as i32)));
                 }
-                OpKind::Copy => {
-                    let dest = op.result.expect("copy has a result");
-                    frame.vregs[dest.0 as usize] = frame.vregs[op.args[0].0 as usize];
+                Inst::Rem(o) => {
+                    if r[o.b as usize] == 0 {
+                        break Stop::Trap(Trap::DivByZero);
+                    }
+                    o.apply(r, |a, b| i64::from((a as i32).wrapping_rem(b as i32)));
                 }
-                OpKind::Un(un) => {
-                    let a = frame.vregs[op.args[0].0 as usize];
-                    let dest = op.result.expect("unary has a result");
-                    frame.vregs[dest.0 as usize] = match un {
-                        UnOp::Neg => wrap_i32(a.wrapping_neg()),
-                        UnOp::Not => i64::from(a == 0),
-                        UnOp::BitNot => wrap_i32(!a),
+                Inst::Shl(o) => o.apply(r, |a, b| i64::from((a as i32).wrapping_shl(b as u32))),
+                Inst::Shr(o) => o.apply(r, |a, b| i64::from((a as i32).wrapping_shr(b as u32))),
+                Inst::Lt(o) => o.apply(r, |a, b| i64::from(a < b)),
+                Inst::Le(o) => o.apply(r, |a, b| i64::from(a <= b)),
+                Inst::Gt(o) => o.apply(r, |a, b| i64::from(a > b)),
+                Inst::Ge(o) => o.apply(r, |a, b| i64::from(a >= b)),
+                Inst::Eq(o) => o.apply(r, |a, b| i64::from(a == b)),
+                Inst::Ne(o) => o.apply(r, |a, b| i64::from(a != b)),
+                Inst::And(o) => o.apply(r, |a, b| wrap_i32(a & b)),
+                Inst::Or(o) => o.apply(r, |a, b| wrap_i32(a | b)),
+                Inst::Xor(o) => o.apply(r, |a, b| wrap_i32(a ^ b)),
+                Inst::Logic(op, o) => o.apply(r, |a, b| {
+                    eval_binop(op, a, b).expect("only non-trapping operators decode to `Logic`")
+                }),
+                Inst::LoadGlobal(m) => {
+                    let i = r[m.index as usize];
+                    let Some(slot) = m.slot(i) else { break oob(m, i) };
+                    r[m.reg as usize] = globals[slot as usize];
+                    counts.mem_accesses += 1;
+                    hook.on_mem(GLOBALS_BASE + slot * WORD_BYTES, false);
+                }
+                Inst::LoadLocal(m) => {
+                    let i = r[m.index as usize];
+                    let Some(slot) = m.slot(i) else { break oob(m, i) };
+                    r[m.reg as usize] = locals[lb + slot as usize];
+                    counts.mem_accesses += 1;
+                    hook.on_mem(frame_base + slot * WORD_BYTES, false);
+                }
+                Inst::StoreGlobal(m) => {
+                    let i = r[m.index as usize];
+                    let Some(slot) = m.slot(i) else { break oob(m, i) };
+                    globals[slot as usize] = r[m.reg as usize];
+                    counts.mem_accesses += 1;
+                    hook.on_mem(GLOBALS_BASE + slot * WORD_BYTES, true);
+                }
+                Inst::StoreLocal(m) => {
+                    let i = r[m.index as usize];
+                    let Some(slot) = m.slot(i) else { break oob(m, i) };
+                    locals[lb + slot as usize] = r[m.reg as usize];
+                    counts.mem_accesses += 1;
+                    hook.on_mem(frame_base + slot * WORD_BYTES, true);
+                }
+                Inst::Output { src } => outputs.push(r[src as usize]),
+                Inst::Recv { chan, dst } => break Stop::Recv { chan: ChanId(chan), dst },
+                Inst::Send { chan, src } => {
+                    break Stop::Send { chan: ChanId(chan), value: r[src as usize] };
+                }
+                Inst::Call { func: callee, args, nargs, dst } => {
+                    if frames.len() >= MAX_FRAMES {
+                        break Stop::Trap(Trap::StackOverflow);
+                    }
+                    counts.calls += 1;
+                    let target = &program.funcs[callee as usize];
+                    assert_eq!(
+                        nargs as usize,
+                        target.params.len(),
+                        "call to `{}` with wrong argument count",
+                        module.functions[callee as usize].name
+                    );
+                    let caller = frames.last_mut().expect("a running machine has a frame");
+                    caller.pc = pc as u32;
+                    caller.block = block;
+                    let caller_base = caller.reg_base;
+                    let reg_base = regs.len();
+                    regs.resize(reg_base + target.num_vregs, 0);
+                    let (outer, inner) = regs.split_at_mut(reg_base);
+                    let args = &program.pool[args as usize..(args + nargs) as usize];
+                    for (&param, &arg) in target.params.iter().zip(args) {
+                        inner[param as usize] = wrap_i32(outer[caller_base + arg as usize]);
+                    }
+                    lb = locals.len();
+                    locals.extend_from_slice(&target.locals_init);
+                    // Stack grows down from STACK_BASE; each nested frame sits
+                    // below its caller. Only used for hook addresses.
+                    frame_base -= target.frame_bytes;
+                    frames.push(Frame {
+                        func: callee,
+                        pc: 0,
+                        block: 0,
+                        reg_base,
+                        local_base: lb,
+                        frame_base,
+                        ret_dst: dst,
+                    });
+                    func = callee;
+                    code = &target.code;
+                    pc = 0;
+                    block = 0;
+                    r = &mut regs[reg_base..];
+                    counts.blocks += 1;
+                    hook.on_block(FuncId(func), BlockId(0));
+                }
+                Inst::Jump { pc: target, block: bb } => {
+                    fuel += 1;
+                    pc = target as usize;
+                    block = bb;
+                    counts.blocks += 1;
+                    hook.on_block(FuncId(func), BlockId(bb));
+                }
+                Inst::Branch { cond, then_pc, then_bb, else_pc, else_bb } => {
+                    fuel += 1;
+                    let taken = r[cond as usize] != 0;
+                    let from = block;
+                    (pc, block) = if taken {
+                        (then_pc as usize, then_bb)
+                    } else {
+                        (else_pc as usize, else_bb)
                     };
+                    counts.branches += 1;
+                    counts.branches_taken += u64::from(taken);
+                    counts.blocks += 1;
+                    hook.on_branch(FuncId(func), BlockId(from), taken);
+                    hook.on_block(FuncId(func), BlockId(block));
                 }
-                OpKind::Bin(bin) => {
-                    let a = frame.vregs[op.args[0].0 as usize];
-                    let b = frame.vregs[op.args[1].0 as usize];
-                    let dest = op.result.expect("binary has a result");
-                    match eval_binop(*bin, a, b) {
-                        Some(v) => frame.vregs[dest.0 as usize] = v,
-                        None => {
-                            debug_assert!(matches!(bin, BinOp::Div | BinOp::Rem));
-                            self.state = State::Trapped;
-                            return Exec::Trap(Trap::DivByZero);
-                        }
+                Inst::Return { src } => {
+                    fuel += 1;
+                    let value = (src != NO_REG).then(|| r[src as usize]);
+                    let callee = frames.pop().expect("a running machine has a frame");
+                    let Some(&caller) = frames.last() else {
+                        break Stop::Done(value);
+                    };
+                    regs.truncate(callee.reg_base);
+                    locals.truncate(callee.local_base);
+                    func = caller.func;
+                    code = &program.funcs[func as usize].code;
+                    pc = caller.pc as usize;
+                    block = caller.block;
+                    lb = caller.local_base;
+                    frame_base = caller.frame_base;
+                    r = &mut regs[caller.reg_base..];
+                    if callee.ret_dst != NO_REG {
+                        r[callee.ret_dst as usize] =
+                            value.expect("callee signature guarantees a value");
                     }
-                }
-                OpKind::Load { array } => {
-                    let index = frame.vregs[op.args[0].0 as usize];
-                    match self.mem_addr(*array, index) {
-                        Ok((addr, slot)) => {
-                            let value = match slot {
-                                Slot::Global(i) => self.globals[i],
-                                Slot::Local(i) => {
-                                    self.frames.last().expect("frame exists").locals[i]
-                                }
-                            };
-                            let frame = self.frames.last_mut().expect("frame exists");
-                            let dest = op.result.expect("load has a result");
-                            frame.vregs[dest.0 as usize] = value;
-                            self.stats.mem_accesses += 1;
-                            hook.on_mem(addr, false);
-                        }
-                        Err(trap) => {
-                            self.state = State::Trapped;
-                            return Exec::Trap(trap);
-                        }
-                    }
-                }
-                OpKind::Store { array } => {
-                    let index = frame.vregs[op.args[0].0 as usize];
-                    let value = frame.vregs[op.args[1].0 as usize];
-                    match self.mem_addr(*array, index) {
-                        Ok((addr, slot)) => {
-                            match slot {
-                                Slot::Global(i) => self.globals[i] = value,
-                                Slot::Local(i) => {
-                                    self.frames.last_mut().expect("frame exists").locals[i] = value
-                                }
-                            }
-                            self.stats.mem_accesses += 1;
-                            hook.on_mem(addr, true);
-                        }
-                        Err(trap) => {
-                            self.state = State::Trapped;
-                            return Exec::Trap(trap);
-                        }
-                    }
-                }
-                OpKind::Output => {
-                    let value = frame.vregs[op.args[0].0 as usize];
-                    self.outputs.push(value);
-                }
-                OpKind::ChanRecv { chan } => {
-                    self.state = State::AwaitRecv(*chan);
-                    return Exec::RecvPending(*chan);
-                }
-                OpKind::ChanSend { chan } => {
-                    let value = frame.vregs[op.args[0].0 as usize];
-                    self.state = State::AwaitSend(*chan);
-                    return Exec::SendPending(*chan, value);
-                }
-                OpKind::Call { func: callee } => {
-                    let callee = *callee;
-                    let args: Vec<i64> =
-                        op.args.iter().map(|a| frame.vregs[a.0 as usize]).collect();
-                    frame.pending_result = op.result;
-                    if self.frames.len() >= MAX_FRAMES {
-                        self.state = State::Trapped;
-                        return Exec::Trap(Trap::StackOverflow);
-                    }
-                    self.stats.ops += 1;
-                    self.stats.calls += 1;
-                    self.push_frame(callee, &args);
-                    let new_frame = self.frames.last().expect("just pushed");
-                    self.stats.blocks += 1;
-                    hook.on_block(new_frame.func, new_frame.block);
-                    continue;
                 }
             }
-            self.stats.ops += 1;
-            let frame = self.frames.last_mut().expect("frame exists");
-            frame.op_idx += 1;
+        };
+        // The stopping op is only counted when it completes.
+        let uncounted = u64::from(!matches!(stop, Stop::OutOfFuel | Stop::Done(_)));
+        counts.ops += budget - fuel - uncounted;
+        *stats = counts;
+        if let Some(top) = frames.last_mut() {
+            top.pc = pc as u32;
+            top.block = block;
         }
+        stop
     }
-
-    fn push_frame(&mut self, func_id: FuncId, args: &[i64]) {
-        let func = &self.module.functions[func_id.0 as usize];
-        assert_eq!(
-            args.len(),
-            func.params.len(),
-            "call to `{}` with wrong argument count",
-            func.name
-        );
-        let mut vregs = vec![0i64; func.num_vregs as usize];
-        for (reg, &value) in func.params.iter().zip(args) {
-            vregs[reg.0 as usize] = wrap_i32(value);
-        }
-        let frame_words = self.layout.frame_words[func_id.0 as usize] as usize;
-        let mut locals = vec![0i64; frame_words];
-        for &aid in &func.local_arrays {
-            let base = (self.layout.array_base[aid.0 as usize] / WORD_BYTES) as usize;
-            for (j, &v) in self.module.arrays[aid.0 as usize].init.iter().enumerate() {
-                locals[base + j] = wrap_i32(v);
-            }
-        }
-        // Stack grows down from STACK_BASE; each nested frame sits below its
-        // caller. Only used for hook addresses, not for storage.
-        let parent_base = self.frames.last().map_or(STACK_BASE, |f| f.frame_base);
-        let frame_base = parent_base - (frame_words as u32) * WORD_BYTES;
-        self.frames.push(Frame {
-            func: func_id,
-            block: func.entry(),
-            op_idx: 0,
-            vregs,
-            locals,
-            frame_base,
-            pending_result: None,
-        });
-    }
-
-    /// Resolves an array access to an absolute byte address and a storage
-    /// slot, bounds-checked.
-    fn mem_addr(&self, array: crate::ir::ArrayId, index: i64) -> Result<(u32, Slot), Trap> {
-        let data = &self.module.arrays[array.0 as usize];
-        if index < 0 || index as usize >= data.len {
-            return Err(Trap::OutOfBounds { array: data.name.clone(), index, len: data.len });
-        }
-        let base = self.layout.array_base[array.0 as usize];
-        match data.scope {
-            ArrayScope::Global => {
-                let addr = base + (index as u32) * WORD_BYTES;
-                let slot = ((addr - GLOBALS_BASE) / WORD_BYTES) as usize;
-                Ok((addr, Slot::Global(slot)))
-            }
-            ArrayScope::Local(_) => {
-                let frame = self.frames.last().expect("local access has a frame");
-                let addr = frame.frame_base + base + (index as u32) * WORD_BYTES;
-                let slot = (base / WORD_BYTES) as usize + index as usize;
-                Ok((addr, Slot::Local(slot)))
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Global(usize),
-    Local(usize),
 }
 
 #[cfg(test)]
@@ -778,6 +1106,12 @@ mod tests {
         assert_eq!(hook.branches, 5, "4 taken + 1 exit");
         assert!(hook.blocks >= 11);
         assert_eq!(u64::try_from(hook.blocks).expect("fits"), m.stats().blocks);
+    }
+
+    #[test]
+    fn decoded_instructions_are_compact() {
+        // Five `u32` operands and the tag: the run loop copies one per op.
+        assert_eq!(std::mem::size_of::<Inst>(), 24);
     }
 
     #[test]

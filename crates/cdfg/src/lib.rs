@@ -9,8 +9,8 @@
 //! - [`dfg`] — per-basic-block data-dependence edges (the DFG of Alg. 1),
 //! - [`analysis`] — CFG utilities, dominators, natural loops, op census,
 //! - [`passes`] — constant folding and dead-op elimination,
-//! - [`interp`] — a resumable interpreter used as the functional execution
-//!   engine of both the functional and the timed TLM,
+//! - [`interp`] — a resumable, pre-decoded interpreter used as the
+//!   functional execution engine of both the functional and the timed TLM,
 //! - [`profile`] — block-frequency profiling on top of the interpreter,
 //! - [`print`](mod@print) — human-readable IR dumps.
 //!

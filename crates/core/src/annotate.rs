@@ -28,6 +28,12 @@ pub struct TimedModule {
     module: Arc<Module>,
     /// `delays[func][block]`.
     delays: Vec<Vec<BlockDelay>>,
+    /// Every block's `delays[..][..].cycles`, flattened function by
+    /// function: the timed TLM reads this once per executed block.
+    cycles: Vec<u64>,
+    /// `cycles[func_start[f]..func_start[f + 1]]` are function `f`'s
+    /// blocks.
+    func_start: Vec<usize>,
     pum_name: String,
     clock_period: SimTime,
     report: AnnotationReport,
@@ -490,9 +496,18 @@ fn annotate_inner(
     report.blocks = prep.work.len();
     report.ops = prep.ops;
     report.elapsed = start.elapsed();
+    let cycles = delays.iter().flatten().map(|d| d.cycles).collect();
+    let func_start = std::iter::once(0)
+        .chain(delays.iter().scan(0, |end, f| {
+            *end += f.len();
+            Some(*end)
+        }))
+        .collect();
     Ok(TimedModule {
         module: Arc::clone(module),
         delays,
+        cycles,
+        func_start,
         pum_name: pum.name.clone(),
         clock_period: SimTime::from_ps(pum.clock_period_ps),
         report,
@@ -526,8 +541,14 @@ impl TimedModule {
 
     /// Estimated cycles of one block (the value the generated `wait()`
     /// call carries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ids are out of range for the module.
+    #[inline]
     pub fn cycles(&self, func: FuncId, block: BlockId) -> u64 {
-        self.delay(func, block).cycles
+        let f = func.0 as usize;
+        self.cycles[self.func_start[f]..self.func_start[f + 1]][block.0 as usize]
     }
 
     /// Number of annotated basic blocks.
@@ -604,6 +625,23 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn dense_cycles_table_matches_block_delays() {
+        let module = module_of(SRC);
+        let pum = library::microblaze_like(8 << 10, 4 << 10);
+        let timed = annotate(&module, &pum).expect("annotates");
+        for (fid, func) in module.functions_iter() {
+            for (bid, _) in func.blocks_iter() {
+                assert_eq!(timed.cycles(fid, bid), timed.delay(fid, bid).cycles, "{fid}/{bid}");
+            }
+            // A block id past the function's end never reads a neighbour's
+            // entry.
+            let past = BlockId(func.blocks.len() as u32);
+            let read = std::panic::catch_unwind(|| timed.cycles(fid, past));
+            assert!(read.is_err(), "{fid}/{past} is out of range");
         }
     }
 

@@ -342,6 +342,14 @@ impl BatchPlan {
                 counter.fetch_add(count, Ordering::Relaxed);
             }
         }
+        #[cfg(test)]
+        tests::count_thread_plan(BatchStats {
+            blocks: items.len() as u64,
+            dedup_hits: (items.len() - reps.len()) as u64,
+            unique_solves: reps.len() as u64,
+            lane_runs: units.len() as u64,
+            occupancy,
+        });
         BatchPlan { rep_of, reps, scalars, units }
     }
 
@@ -1107,6 +1115,7 @@ mod tests {
     use super::*;
     use crate::library;
     use crate::schedule::schedule_block;
+    use std::cell::Cell;
     use tlm_cdfg::dfg::{block_dfg, schedule_key};
     use tlm_cdfg::ir::Module;
 
@@ -1169,20 +1178,44 @@ mod tests {
         batch_matches_scalar(SRC, 1);
     }
 
+    thread_local! {
+        /// This test thread's share of the process-wide batch counters,
+        /// which sibling tests move while they run in parallel.
+        static THREAD_BATCH: Cell<BatchStats> = Cell::new(BatchStats::default());
+    }
+
+    pub(super) fn count_thread_plan(plan: BatchStats) {
+        THREAD_BATCH.with(|t| {
+            let mut local = t.get();
+            local.blocks += plan.blocks;
+            local.dedup_hits += plan.dedup_hits;
+            local.unique_solves += plan.unique_solves;
+            local.lane_runs += plan.lane_runs;
+            for (slot, count) in local.occupancy.iter_mut().zip(plan.occupancy) {
+                *slot += count;
+            }
+            t.set(local);
+        });
+    }
+
+    fn thread_batch_stats() -> BatchStats {
+        THREAD_BATCH.with(Cell::get)
+    }
+
     #[test]
     fn duplicates_are_folded_and_fanned_out() {
-        let before = batch_stats();
+        let before = thread_batch_stats();
         batch_matches_scalar(SRC, 3);
-        let after = batch_stats();
+        let after = thread_batch_stats();
         assert!(after.dedup_hits > before.dedup_hits, "triplicated blocks dedup");
         assert!(after.blocks - before.blocks >= 3 * (after.unique_solves - before.unique_solves));
     }
 
     #[test]
     fn occupancy_histogram_counts_every_unit() {
-        let before = batch_stats();
+        let before = thread_batch_stats();
         batch_matches_scalar(SRC, 1);
-        let after = batch_stats();
+        let after = thread_batch_stats();
         let units = after.occupancy.iter().sum::<u64>() - before.occupancy.iter().sum::<u64>();
         assert!(units > 0, "at least one unit planned");
         let solves = after.unique_solves - before.unique_solves;

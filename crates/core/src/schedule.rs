@@ -324,6 +324,8 @@ impl ScheduleScratch {
         } else {
             SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
         }
+        #[cfg(test)]
+        tests::count_thread_run(grew);
         slots
     }
 }
@@ -787,6 +789,7 @@ pub fn schedule_block_prepared(
 mod tests {
     use super::*;
     use crate::library;
+    use std::cell::Cell;
     use tlm_cdfg::dfg::block_dfg;
     use tlm_cdfg::ir::Module;
 
@@ -1007,17 +1010,39 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// This test thread's share of the process-wide scratch counters,
+        /// which sibling tests move while they run in parallel.
+        static THREAD_SCRATCH: Cell<ScratchStats> = Cell::new(ScratchStats::default());
+    }
+
+    pub(super) fn count_thread_run(grew: bool) {
+        THREAD_SCRATCH.with(|t| {
+            let mut local = t.get();
+            if grew {
+                local.allocs += 1;
+            } else {
+                local.reuses += 1;
+            }
+            t.set(local);
+        });
+    }
+
+    fn thread_scratch_stats() -> ScratchStats {
+        THREAD_SCRATCH.with(Cell::get)
+    }
+
     #[test]
     fn scratch_reuse_is_counted() {
         let pum = library::microblaze_like(8 << 10, 4 << 10);
         let module = module_of("int f(int a, int b) { return a * b + a - b; }");
         let block = &module.functions[0].blocks[0];
         let dfg = block_dfg(block);
-        let before = scratch_stats();
+        let before = thread_scratch_stats();
         for _ in 0..3 {
             schedule_block(&pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
         }
-        let after = scratch_stats();
+        let after = thread_scratch_stats();
         let runs = (after.reuses - before.reuses) + (after.allocs - before.allocs);
         assert_eq!(runs, 3, "every kernel run is counted");
         assert!(after.reuses > before.reuses, "repeat blocks reuse the arena");

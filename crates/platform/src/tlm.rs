@@ -15,7 +15,7 @@
 //! copy cost).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -195,10 +195,17 @@ pub fn run_annotated(
         .map(|bus| BusClock::new(bus.period, bus.sync_overhead, bus.cycles_per_word))
         .collect();
 
-    let mut fifos: HashMap<ChanId, Fifo<i64>> = HashMap::new();
-    for (&chan, binding) in &platform.channels {
-        fifos.insert(chan, Fifo::new(&mut kernel, format!("{chan}"), Some(binding.capacity)));
-    }
+    // Sorted by id (the platform's channel map is a `BTreeMap`), so a
+    // process resolves an id to its dense index by binary search.
+    let chans: Rc<[ChanHandle]> = platform
+        .channels
+        .iter()
+        .map(|(&chan, binding)| ChanHandle {
+            id: chan,
+            fifo: Fifo::new(&mut kernel, format!("{chan}"), Some(binding.capacity)),
+            bus: binding.bus.map(|b| bus_clocks[b.0].clone()),
+        })
+        .collect();
 
     let mut outcomes: Vec<Rc<RefCell<ProcessReport>>> = Vec::new();
     for (index, proc) in platform.processes.iter().enumerate() {
@@ -206,26 +213,13 @@ pub fn run_annotated(
         outcomes.push(outcome.clone());
         let delays = annotated.map(|a| a.timed[index].clone());
         let machine = Machine::from_arc(proc.module.clone(), proc.entry, &proc.args);
-        let chans: HashMap<u32, ChanHandle> = platform
-            .channels
-            .iter()
-            .map(|(&chan, binding)| {
-                (
-                    chan.0,
-                    ChanHandle {
-                        fifo: fifos[&chan].clone(),
-                        bus: binding.bus.map(|b| bus_clocks[b.0].clone()),
-                    },
-                )
-            })
-            .collect();
         let body = TlmProcess {
             index,
             machine,
             delays,
             acc: 0,
             pe: pe_clocks[proc.pe.0].clone(),
-            chans,
+            chans: chans.clone(),
             granularity: config.granularity.max(1),
             boundaries: 0,
             fuel_slice: config.fuel_slice.max(1),
@@ -275,23 +269,25 @@ pub fn run_annotated(
 }
 
 struct ChanHandle {
+    id: ChanId,
     fifo: Fifo<i64>,
     bus: Option<SharedBus>,
 }
 
-/// What to do once a wait elapses.
+/// What to do once a wait elapses. Channels are dense indices into
+/// [`TlmProcess::chans`].
 #[derive(Debug, Clone, Copy)]
 enum After {
-    Recv(u32),
-    Send(u32, i64),
+    Recv(usize),
+    Send(usize, i64),
     Finish,
 }
 
 enum Phase {
     Run,
     Wait { until: SimTime, after: After },
-    BlockedRecv(u32),
-    BlockedSend(u32, i64),
+    BlockedRecv(usize),
+    BlockedSend(usize, i64),
     Done,
 }
 
@@ -302,7 +298,9 @@ struct TlmProcess {
     /// Accumulated, not-yet-applied cycles (the paper's `wait()` counter).
     acc: u64,
     pe: SharedPe,
-    chans: HashMap<u32, ChanHandle>,
+    /// The platform's channels, sorted by id; a channel's position is
+    /// its dense index.
+    chans: Rc<[ChanHandle]>,
     granularity: u32,
     boundaries: u32,
     fuel_slice: u64,
@@ -326,10 +324,17 @@ struct NoHook;
 impl ExecHook for NoHook {}
 
 impl TlmProcess {
+    /// The dense index of a channel the interpreter stopped on.
+    fn chan(&self, chan: ChanId) -> usize {
+        self.chans
+            .binary_search_by_key(&chan, |h| h.id)
+            .expect("the platform binds every channel it runs")
+    }
+
     /// Applies the accumulated compute delay (honouring granularity) and
     /// any transfer cost, returning the simulated time the transaction may
     /// proceed at.
-    fn boundary(&mut self, now: SimTime, transfer: Option<u32>, last: bool) -> SimTime {
+    fn boundary(&mut self, now: SimTime, transfer: Option<usize>, last: bool) -> SimTime {
         self.boundaries += 1;
         let mut at = now;
         let apply =
@@ -341,8 +346,7 @@ impl TlmProcess {
         }
         if self.delays.is_some() {
             if let Some(chan) = transfer {
-                let handle = &self.chans[&chan];
-                at = match &handle.bus {
+                at = match &self.chans[chan].bus {
                     Some(bus) => bus.borrow_mut().reserve(at, 1),
                     None => {
                         self.pe.borrow_mut().reserve(at, self.index, Platform::LOCAL_SYNC_CYCLES)
@@ -383,7 +387,7 @@ impl Process for TlmProcess {
                     };
                 }
                 Phase::BlockedRecv(ch) => {
-                    let fifo = self.chans[&ch].fifo.clone();
+                    let fifo = &self.chans[ch].fifo;
                     match fifo.try_recv(ctx) {
                         Some(v) => {
                             self.machine.complete_recv(v);
@@ -393,7 +397,7 @@ impl Process for TlmProcess {
                     }
                 }
                 Phase::BlockedSend(ch, v) => {
-                    let fifo = self.chans[&ch].fifo.clone();
+                    let fifo = &self.chans[ch].fifo;
                     match fifo.try_send(ctx, v) {
                         Ok(()) => {
                             self.machine.complete_send();
@@ -405,8 +409,7 @@ impl Process for TlmProcess {
                 Phase::Run => {
                     let exec = match &self.delays {
                         Some(timed) => {
-                            let timed = timed.clone();
-                            let mut hook = AccHook { timed: &timed, acc: &mut self.acc };
+                            let mut hook = AccHook { timed, acc: &mut self.acc };
                             self.machine.run_fuel(&mut hook, self.fuel_slice)
                         }
                         None => self.machine.run_fuel(&mut NoHook, self.fuel_slice),
@@ -422,19 +425,21 @@ impl Process for TlmProcess {
                             }
                         }
                         Exec::RecvPending(chan) => {
+                            let chan = self.chan(chan);
                             let until = self.boundary(now, None, false);
                             self.phase = if until > now {
-                                Phase::Wait { until, after: After::Recv(chan.0) }
+                                Phase::Wait { until, after: After::Recv(chan) }
                             } else {
-                                Phase::BlockedRecv(chan.0)
+                                Phase::BlockedRecv(chan)
                             };
                         }
                         Exec::SendPending(chan, value) => {
-                            let until = self.boundary(now, Some(chan.0), false);
+                            let chan = self.chan(chan);
+                            let until = self.boundary(now, Some(chan), false);
                             self.phase = if until > now {
-                                Phase::Wait { until, after: After::Send(chan.0, value) }
+                                Phase::Wait { until, after: After::Send(chan, value) }
                             } else {
-                                Phase::BlockedSend(chan.0, value)
+                                Phase::BlockedSend(chan, value)
                             };
                         }
                         Exec::Trap(trap) => {

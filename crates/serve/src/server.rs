@@ -1409,8 +1409,10 @@ fn worker_loop(
             }
             service.handle(&item.request, metrics, config.limits.max_body_bytes, item.draining)
         }));
-        metrics.done(start.elapsed());
+        // Free the worker before counting the request complete, so a
+        // scrape that sees the request finished also sees its worker idle.
         metrics.worker_idle();
+        metrics.done(start.elapsed());
         match handled {
             Ok(response) => {
                 // Chaos-build injection point: a latency spike before

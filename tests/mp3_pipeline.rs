@@ -107,3 +107,84 @@ fn bus_traffic_appears_only_in_hw_designs() {
     // every spectral/subband/pcm word crossed the bus once.
     assert!(transfers >= 6 * 1152, "got {transfers}");
 }
+
+/// One process's pinned interpreter counters:
+/// `(name, ops, blocks, branches, branches_taken, mem_accesses, calls)`.
+type ProcCounts = (&'static str, u64, u64, u64, u64, u64, u64);
+
+/// Pinned counts of one timed run: per-process counters, kernel resumes,
+/// kernel events fired, end time (ps) and per-PE busy cycles.
+struct Pinned {
+    design: Mp3Design,
+    processes: [ProcCounts; 6],
+    resumes: u64,
+    events_fired: u64,
+    end_ps: u64,
+    pe_busy: &'static [(&'static str, u64)],
+}
+
+/// Counters shared by both pinned design points: the mapping changes
+/// when work runs, never how much of it.
+const EVAL_PROCESSES: [ProcCounts; 6] = [
+    ("filter_l", 4_318_655, 896_007, 301_015, 290_418, 625_753, 108),
+    ("filter_r", 4_318_655, 896_007, 301_015, 290_418, 625_753, 108),
+    ("frontend", 297_327, 66_425, 19_769, 16_273, 43_908, 7_044),
+    ("imdct_l", 1_633_214, 429_363, 149_011, 138_438, 259_200, 6),
+    ("imdct_r", 1_633_214, 429_363, 149_011, 138_438, 259_200, 6),
+    ("sink", 67_311, 20_769, 6_925, 5_045, 0, 0),
+];
+
+#[test]
+fn evaluation_simulation_counts_are_pinned() {
+    // Exact interpreter and kernel counts of timed runs of the evaluation
+    // bitstream at 8k/4k, recorded from the tree-walking interpreter. Any
+    // drift in the simulation engine's fuel, hook or scheduling semantics
+    // changes at least one of them, and the estimate with it.
+    let pinned = [
+        Pinned {
+            design: Mp3Design::Sw,
+            processes: EVAL_PROCESSES,
+            resumes: 46_951,
+            events_fired: 41_472,
+            end_ps: 546_966_200_000,
+            pe_busy: &[("cpu", 54_696_620)],
+        },
+        Pinned {
+            design: Mp3Design::SwPlus1,
+            processes: EVAL_PROCESSES,
+            resumes: 50_307,
+            events_fired: 41_472,
+            end_ps: 356_442_410_000,
+            pe_busy: &[("cpu", 35_644_241), ("filter_hw_l", 2_679_398)],
+        },
+    ];
+    for pin in pinned {
+        let design = pin.design;
+        let platform =
+            build_mp3_platform(design, Mp3Params::evaluation(), 8 << 10, 4 << 10).expect("builds");
+        let report = run_tlm(&platform, TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        assert!(report.all_finished(), "{design}");
+        let counts: Vec<(&str, u64, u64, u64, u64, u64, u64)> = report
+            .processes
+            .iter()
+            .map(|(name, p)| {
+                let s = p.stats;
+                (
+                    name.as_str(),
+                    s.ops,
+                    s.blocks,
+                    s.branches,
+                    s.branches_taken,
+                    s.mem_accesses,
+                    s.calls,
+                )
+            })
+            .collect();
+        assert_eq!(counts, pin.processes, "{design}: per-process counters");
+        assert_eq!(report.sim.resumes, pin.resumes, "{design}: resumes");
+        assert_eq!(report.sim.events_fired, pin.events_fired, "{design}: events fired");
+        assert_eq!(report.end_time.ps(), pin.end_ps, "{design}: end time");
+        let busy: Vec<(&str, u64)> = report.pe_busy.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+        assert_eq!(busy, pin.pe_busy, "{design}: PE busy cycles");
+    }
+}

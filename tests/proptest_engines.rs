@@ -1,6 +1,8 @@
 //! Property-based tests: randomly generated MiniC programs must behave
-//! identically on the CDFG interpreter and on the compiled ISA core, and
-//! core estimator invariants must hold for every generated block.
+//! identically on the CDFG interpreter and on the compiled ISA core, the
+//! pre-decoded interpreter must match the reference tree-walker event for
+//! event, and core estimator invariants must hold for every generated
+//! block.
 //!
 //! The generator is a self-contained xorshift PRNG rather than proptest
 //! (the build environment is offline): every case derives from a fixed
@@ -10,8 +12,9 @@
 use std::sync::Arc;
 
 use tlm_cdfg::dfg::block_dfg;
-use tlm_cdfg::interp::{Exec, Machine, NoopHook};
+use tlm_cdfg::interp::{reference, Exec, ExecHook, Machine, NoopHook, Trap};
 use tlm_cdfg::ir::Module;
+use tlm_cdfg::{BlockId, FuncId};
 use tlm_core::library;
 use tlm_core::schedule::schedule_block;
 use tlm_iss::codegen::build_program;
@@ -262,4 +265,201 @@ fn more_units_stay_within_grahams_bound() {
             }
         }
     });
+}
+
+/// One observation of an [`ExecHook`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Block(FuncId, BlockId),
+    Mem(u32, bool),
+    Branch(FuncId, BlockId, bool),
+}
+
+/// Logs every hook call in order.
+#[derive(Default)]
+struct Recorder(Vec<Event>);
+
+impl ExecHook for Recorder {
+    fn on_block(&mut self, func: FuncId, block: BlockId) {
+        self.0.push(Event::Block(func, block));
+    }
+    fn on_mem(&mut self, addr: u32, is_store: bool) {
+        self.0.push(Event::Mem(addr, is_store));
+    }
+    fn on_branch(&mut self, func: FuncId, block: BlockId, taken: bool) {
+        self.0.push(Event::Branch(func, block, taken));
+    }
+}
+
+/// How a generated program ends.
+#[derive(Debug, Clone, Copy)]
+enum Ending {
+    Normal,
+    DivByZero,
+    OutOfBounds,
+    StackOverflow,
+    Channels,
+}
+
+const ENDINGS: [Ending; 5] = [
+    Ending::Normal,
+    Ending::DivByZero,
+    Ending::OutOfBounds,
+    Ending::StackOverflow,
+    Ending::Channels,
+];
+
+/// Every operator MiniC lowers to a binary op; `/` and `%` get guarded
+/// divisors in [`render_full`].
+const ALL_BIN_OPS: [&str; 14] =
+    ["+", "-", "*", "&", "|", "^", "<<", ">>", "<", "<=", ">", ">=", "==", "!="];
+
+fn render_full(rng: &mut Rng, depth: u32, n_vars: usize) -> String {
+    if depth == 0 || rng.range(0, 3) == 0 {
+        return match rng.range(0, 3) {
+            0 => format!("{}", rng.range(-70_000, 70_000)),
+            1 => format!("g[{} & 7]", rng.range(0, 100)),
+            _ => format!("x{}", rng.range(0, n_vars as i64)),
+        };
+    }
+    let a = render_full(rng, depth - 1, n_vars);
+    let b = render_full(rng, depth - 1, n_vars);
+    match rng.range(0, 8) {
+        0 => format!("({a} / (({b} & 255) + 1))"),
+        1 => format!("({a} % (({b} & 255) + 1))"),
+        2 => ["-", "!", "~"][rng.range(0, 3) as usize].to_string() + &format!("({a})"),
+        _ => format!("({a} {} {b})", ALL_BIN_OPS[rng.range(0, 14) as usize]),
+    }
+}
+
+/// A program with globals, a helper with a local array, bounded recursion,
+/// nested loops and branches, and an `ending` that traps or talks to
+/// channels.
+fn full_program(rng: &mut Rng, ending: Ending) -> String {
+    let n = rng.range(2, 6) as usize;
+    let mut src = format!(
+        "int g[8] = {{{}, {}, {}}};\n\
+         int mix(int a, int b) {{\n\
+             int t[4] = {{{}, 5}};\n\
+             t[a & 3] += b;\n\
+             int s = 0;\n\
+             for (int i = 0; i < (b & 7) + 1; i++) {{\n\
+                 s += t[i & 3] * i;\n\
+                 if (s > 1000) {{ s -= a; }} else {{ g[i & 7] ^= s; }}\n\
+             }}\n\
+             return s ^ a;\n\
+         }}\n\
+         int depth(int n) {{ if (n <= 0) {{ return 1; }} return depth(n - 1) + n; }}\n\
+         int runaway(int n) {{ return runaway(n + 1) + 1; }}\n\
+         int main() {{\n",
+        rng.range(-99, 99),
+        rng.range(-99, 99),
+        rng.range(-99, 99),
+        rng.range(-99, 99),
+    );
+    for i in 0..n {
+        src.push_str(&format!("    int x{i} = {};\n", rng.range(-5000, 5000)));
+    }
+    for k in 0..rng.range(2, 8) {
+        let target = k as usize % n;
+        let e = render_full(rng, 3, n);
+        src.push_str(&format!("    x{target} = {e};\n"));
+        match rng.range(0, 3) {
+            0 => src.push_str(&format!("    x{target} = mix(x{target}, {});\n", rng.range(0, 40))),
+            1 => src.push_str(&format!("    x{target} += depth({});\n", rng.range(0, 12))),
+            _ => src.push_str(&format!("    out(x{target});\n")),
+        }
+    }
+    let trip = rng.range(4, 24);
+    let at = rng.range(0, trip);
+    src.push_str("    int acc = 0;\n");
+    src.push_str(&format!("    for (int i = 0; i < {trip}; i++) {{\n"));
+    src.push_str("        if ((g[i & 7] ^ i) & 1) { acc += g[i & 7]; } else { acc -= i; }\n");
+    match ending {
+        Ending::DivByZero => src.push_str(&format!("        acc += 1000 / (i - {at});\n")),
+        // A load past the end, or a store below zero, as `at` is even or
+        // odd (`%` truncates, so the index first goes negative at i = at).
+        Ending::OutOfBounds if at % 2 == 0 => {
+            src.push_str(&format!("        acc += g[i + {}];\n", 8 - at));
+        }
+        Ending::OutOfBounds => src.push_str(&format!("        g[({at} - i - 1) % 8] = acc;\n")),
+        Ending::StackOverflow => {
+            src.push_str(&format!("        if (i == {at}) {{ acc += runaway(i); }}\n"));
+        }
+        Ending::Channels => {
+            src.push_str("        int v = ch_recv(0);\n        out(v);\n        acc += v;\n");
+            src.push_str("        if (acc & 4) { ch_send(1, acc); }\n");
+        }
+        Ending::Normal => {}
+    }
+    src.push_str("    }\n");
+    for i in 0..n {
+        src.push_str(&format!("    out(x{i});\n"));
+    }
+    src.push_str("    out(acc);\n    return acc;\n}\n");
+    src
+}
+
+/// Runs both engines in lockstep over the same random fuel slices and
+/// channel replies, comparing everything observable after every slice.
+/// Returns the final [`Exec`].
+fn lockstep(module: &Module, rng: &mut Rng, src: &str) -> Exec {
+    let main = module.function_id("main").expect("main");
+    let mut fast = Machine::new(module, main, &[]);
+    let mut slow = reference::Machine::new(module, main, &[]);
+    let (mut fast_log, mut slow_log) = (Recorder::default(), Recorder::default());
+    for slice in 0.. {
+        assert!(slice < 1_000_000, "no progress on:\n{src}");
+        let fuel = rng.range(1, 1001) as u64;
+        let exec = fast.run_fuel(&mut fast_log, fuel);
+        assert_eq!(exec, slow.run_fuel(&mut slow_log, fuel), "slice {slice} on:\n{src}");
+        assert_eq!(fast_log.0, slow_log.0, "hook events of slice {slice} on:\n{src}");
+        assert_eq!(fast.stats(), slow.stats(), "stats after slice {slice} on:\n{src}");
+        assert_eq!(fast.outputs(), slow.outputs(), "outputs after slice {slice} on:\n{src}");
+        fast_log.0.clear();
+        slow_log.0.clear();
+        match exec {
+            Exec::OutOfFuel => {}
+            Exec::RecvPending(_) => {
+                // Unwrapped 64-bit values exercise the receive-side wrap.
+                let value = rng.next() as i64;
+                fast.complete_recv(value);
+                slow.complete_recv(value);
+            }
+            // Leave some sends pending so the next slice re-delivers them.
+            Exec::SendPending(..) if rng.range(0, 3) == 0 => {}
+            Exec::SendPending(..) => {
+                fast.complete_send();
+                slow.complete_send();
+            }
+            Exec::Done | Exec::Trap(_) => {
+                assert_eq!(fast.stats(), slow.stats(), "final stats on:\n{src}");
+                assert_eq!(fast.return_value(), slow.return_value(), "return on:\n{src}");
+                return exec;
+            }
+        }
+    }
+    unreachable!("the slice loop only exits by returning")
+}
+
+#[test]
+fn decoded_interpreter_matches_reference_event_for_event() {
+    for (k, ending) in ENDINGS.into_iter().enumerate() {
+        for_each_case(0x1eaf_0005 ^ (k as u64) << 48, 24, |rng| {
+            let src = full_program(rng, ending);
+            let plain = lower(&src);
+            let mut optimized = plain.clone();
+            tlm_cdfg::passes::optimize(&mut optimized);
+            for module in [&plain, &optimized] {
+                let exec = lockstep(module, rng, &src);
+                let expected = match ending {
+                    Ending::Normal | Ending::Channels => matches!(exec, Exec::Done),
+                    Ending::DivByZero => exec == Exec::Trap(Trap::DivByZero),
+                    Ending::OutOfBounds => matches!(exec, Exec::Trap(Trap::OutOfBounds { .. })),
+                    Ending::StackOverflow => exec == Exec::Trap(Trap::StackOverflow),
+                };
+                assert!(expected, "{ending:?} program ended in {exec:?}:\n{src}");
+            }
+        });
+    }
 }

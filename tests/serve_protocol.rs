@@ -15,7 +15,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tlm_serve::http::HttpLimits;
 use tlm_serve::protocol::Service;
@@ -122,6 +122,26 @@ fn assert_workers_intact(addr: SocketAddr, workers: u64) {
     assert!(metric(page, "tlm_serve_workers_busy") <= 1, "worker stuck busy:\n{page}");
 }
 
+/// Polls `/metrics` until every request read before the scrape has left
+/// its worker: the completed-request count equals the requests read, less
+/// the scrape itself. A client that hangs up does not cancel its queued
+/// job, so gauges read before this point can still see that job running.
+fn wait_for_jobs_to_finish(addr: SocketAddr) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let resp = send_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        assert_eq!(status_of(&resp), 200, "got: {resp}");
+        let page = body_of(&resp);
+        let read = metric(page, "tlm_serve_requests_total");
+        let finished = metric(page, "tlm_serve_request_duration_seconds_count");
+        if finished + 1 == read {
+            return;
+        }
+        assert!(Instant::now() < deadline, "only {finished} of {read} requests finished:\n{page}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn slowloris_header_drip_is_cut_by_the_request_deadline() {
     // Per-op timeout generous, total budget tight: every dripped byte
@@ -177,6 +197,7 @@ fn mid_response_hangup_leaves_no_stuck_worker() {
     // The pool still serves normal clients afterwards.
     let resp = post(addr, "/estimate", r#"{"platform": "image:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
+    wait_for_jobs_to_finish(addr);
     assert_workers_intact(addr, workers as u64);
     handle.shutdown();
 }
