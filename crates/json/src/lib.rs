@@ -12,8 +12,10 @@
 //!   `BENCH_estimation.json` perf trajectory tracked PR-over-PR);
 //! - numbers are stored as `f64` with an exact-integer fast path in the
 //!   printer, which covers every value the estimator exchanges;
-//! - the parser is a strict recursive-descent JSON parser with position
-//!   information in errors;
+//! - the parser is a strict (RFC 8259) recursive-descent JSON parser with
+//!   position information in errors. It reads its input in one linear
+//!   pass: a string's plain characters are copied as whole runs sliced
+//!   out of the input `&str`, never re-validated;
 //! - the parser is safe on **untrusted input**: [`ParseLimits`] bounds the
 //!   input size and the nesting depth (the recursion budget), so a
 //!   malicious document returns a [`JsonError`] instead of exhausting
@@ -396,7 +398,8 @@ pub fn parse_with_limits(text: &str, limits: ParseLimits) -> Result<Value, JsonE
             limits.max_bytes
         )));
     }
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0, max_depth: limits.max_depth };
+    let mut p =
+        Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0, max_depth: limits.max_depth };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -407,6 +410,9 @@ pub fn parse_with_limits(text: &str, limits: ParseLimits) -> Result<Value, JsonE
 }
 
 struct Parser<'a> {
+    /// The input; strings and numbers are sliced out of it, so nothing is
+    /// validated as UTF-8 a second time.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -529,110 +535,119 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next `"` or `\`
+            // in one step. Both stop bytes are ASCII, so the run ends on a
+            // character boundary of the input and the slice is valid `str`.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(JsonError::parse("unterminated string", self.pos)),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                // High surrogate: must pair with \uXXXX low.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(JsonError::parse("lone surrogate", self.pos));
-                                }
-                                self.pos += 1;
-                                self.expect(b'u')?;
-                                let low = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(JsonError::parse("bad low surrogate", self.pos));
-                                }
-                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => {
-                                    return Err(JsonError::parse("invalid code point", self.pos))
-                                }
-                            }
-                            // parse_hex4 advanced past the digits; skip the
-                            // unconditional advance below.
-                            continue;
-                        }
-                        _ => return Err(JsonError::parse("bad escape", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::parse("invalid UTF-8", self.pos))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.parse_escape(&mut out)?,
             }
         }
     }
 
+    /// Decodes one escape sequence; `self.pos` is on its backslash.
+    fn parse_escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.parse_hex4()?;
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    // High surrogate: must pair with \uXXXX low.
+                    if self.peek() != Some(b'\\') {
+                        return Err(JsonError::parse("lone surrogate", self.pos));
+                    }
+                    self.pos += 1;
+                    self.expect(b'u')?;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(JsonError::parse("bad low surrogate", self.pos));
+                    }
+                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00))
+                } else {
+                    char::from_u32(cp)
+                };
+                // parse_hex4 already advanced past the digits.
+                let c = c.ok_or_else(|| JsonError::parse("invalid code point", self.pos))?;
+                out.push(c);
+                return Ok(());
+            }
+            _ => return Err(JsonError::parse("bad escape", self.pos)),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads exactly four hex digits (no sign, no prefix).
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(hex) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(JsonError::parse("truncated \\u escape", self.pos));
+        };
+        let mut cp = 0;
+        for &b in hex {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::parse("bad \\u escape", self.pos))?;
+            cp = cp << 4 | digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| JsonError::parse("bad \\u escape", self.pos))?;
-        let cp = u32::from_str_radix(hex, 16)
-            .map_err(|_| JsonError::parse("bad \\u escape", self.pos))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(cp)
     }
 
+    /// Advances over a run of ASCII digits and returns its length.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Scans the run of number-like bytes, then holds it to the RFC 8259
+    /// grammar `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    /// Any violation is `bad number` at the number's first byte.
     fn parse_number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let int_start = self.pos;
+        let int_digits = self.skip_digits();
+        let mut strict = int_digits == 1 || (int_digits > 1 && self.bytes[int_start] != b'0');
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            strict &= self.skip_digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            strict &= self.skip_digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::parse("bad number", start))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| JsonError::parse(format!("bad number `{text}`"), start))
+        let text = &self.text[start..self.pos];
+        let bad = || JsonError::parse(format!("bad number `{text}`"), start);
+        if !strict {
+            return Err(bad());
+        }
+        text.parse::<f64>().map(Value::Number).map_err(|_| bad())
     }
 }
 
@@ -760,5 +775,188 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_i64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_i64(), None);
         assert_eq!(parse("\"7\"").unwrap().as_i64(), None);
+    }
+
+    /// A seeded xorshift64* stream, so property failures replay exactly.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % u64::from(n)) as u32
+        }
+    }
+
+    /// A random character from one of five classes: printable ASCII (with
+    /// `"`, `\` and `/` over-weighted), ASCII control, and 2-, 3- and
+    /// 4-byte UTF-8 (surrogate code points are not `char`s, so skipped).
+    fn random_char(rng: &mut XorShift) -> char {
+        loop {
+            let cp = match rng.below(6) {
+                0 => [u32::from(b'"'), u32::from(b'\\'), u32::from(b'/')][rng.below(3) as usize],
+                1 => 0x20 + rng.below(0x5f),
+                2 => rng.below(0x20),
+                3 => 0x80 + rng.below(0x800 - 0x80),
+                4 => 0x800 + rng.below(0x1_0000 - 0x800),
+                _ => 0x1_0000 + rng.below(0x11_0000 - 0x1_0000),
+            };
+            if let Some(c) = char::from_u32(cp) {
+                return c;
+            }
+        }
+    }
+
+    /// Encodes `s` as a JSON string literal choosing, per character and at
+    /// random, among every legal spelling: raw, its short escape, `\uXXXX`
+    /// in either hex case, or a surrogate pair for astral characters.
+    fn random_encoding(s: &str, rng: &mut XorShift) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            let must_escape = c == '"' || c == '\\' || (c as u32) < 0x20;
+            match (rng.below(3), short) {
+                (0, _) if !must_escape => out.push(c),
+                (1, Some(short)) => out.push_str(short),
+                _ => {
+                    let upper = rng.below(2) == 0;
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        let hex = if upper { format!("{unit:04X}") } else { format!("{unit:04x}") };
+                        out.push_str("\\u");
+                        out.push_str(&hex);
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn string_decoding_round_trips_random_strings() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for case in 0..2000 {
+            let len = rng.below(40) as usize;
+            let s: String = (0..len).map(|_| random_char(&mut rng)).collect();
+            let value = Value::String(s.clone());
+            assert_eq!(parse(&value.to_compact()), Ok(value.clone()), "case {case}: {s:?}");
+            let encoded = random_encoding(&s, &mut rng);
+            assert_eq!(parse(&encoded), Ok(value), "case {case}: {encoded}");
+        }
+    }
+
+    /// Malformed strings and the exact error each gets. The table was
+    /// recorded from the character-at-a-time parser this one replaced, and
+    /// must stay byte-identical.
+    const MALFORMED_STRINGS: &[(&str, &str, usize)] = &[
+        ("\"abc", "unterminated string", 4),
+        ("{\"key", "unterminated string", 5),
+        ("\"\u{e9}", "unterminated string", 3),
+        ("\"ok\\u00e9", "unterminated string", 9),
+        ("\"a\\x\"", "bad escape", 3),
+        ("\"\\", "bad escape", 2),
+        ("\"\\'\"", "bad escape", 2),
+        ("\"\\u12", "truncated \\u escape", 3),
+        ("\"\\u12\"", "truncated \\u escape", 3),
+        ("\"\\u", "truncated \\u escape", 3),
+        ("\"\\uZZZZ\"", "bad \\u escape", 3),
+        ("\"\\u00g0\"", "bad \\u escape", 3),
+        ("\"\\u00\u{e9}\"", "bad \\u escape", 3),
+        ("\"\\ud83d\"", "lone surrogate", 7),
+        ("\"\\ud83dx\"", "lone surrogate", 7),
+        ("\"\\ud83d", "lone surrogate", 7),
+        ("\"\\ud83d\\n\"", "expected `u`", 8),
+        ("\"\\ud83d\\u0041\"", "bad low surrogate", 13),
+        ("\"\\ud83d\\ud83d\"", "bad low surrogate", 13),
+        ("\"\\ud83d\\u12\"", "truncated \\u escape", 9),
+        ("\"\\ud83d\\uZZZZ\"", "bad \\u escape", 9),
+        ("\"\\udc00\"", "invalid code point", 7),
+        ("[\"a\", \"b\\q\"]", "bad escape", 9),
+    ];
+
+    #[test]
+    fn malformed_strings_keep_their_errors() {
+        for &(input, message, position) in MALFORMED_STRINGS {
+            let err = parse(input).expect_err(input);
+            assert_eq!(
+                (err.message.as_str(), err.position),
+                (message, Some(position)),
+                "{input:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn four_mib_string_parses_in_linear_time() {
+        // One string as large as a legal request body. A parser that
+        // re-validates the rest of the input per character takes hours on
+        // this in a debug build.
+        let line = "int x; /* \u{e9}\u{4e2d}\u{1f600} */\n";
+        let body = line.repeat((4 << 20) / line.len() + 1);
+        let doc = Value::String(body.clone()).to_compact();
+        assert!(doc.len() >= 4 << 20);
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).expect("parses");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(body.as_str()));
+        assert!(elapsed < std::time::Duration::from_secs(10), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn hex_escape_requires_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#), Ok(Value::String("A\u{e9}".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u0x41""#] {
+            let err = parse(bad).expect_err(bad);
+            assert_eq!((err.message.as_str(), err.position), ("bad \\u escape", Some(3)), "{bad}");
+        }
+        let err = parse(r#""\ud83d\u+c00""#).expect_err("signed low surrogate");
+        assert_eq!((err.message.as_str(), err.position), ("bad \\u escape", Some(9)));
+    }
+
+    #[test]
+    fn numbers_follow_rfc8259() {
+        for (ok, n) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-3", -0.0005),
+            ("1E+2", 100.0),
+        ] {
+            assert_eq!(parse(ok), Ok(Value::Number(n)), "{ok}");
+        }
+        for (bad, text, position) in [
+            ("1.", "1.", 0),
+            ("-.5", "-.5", 0),
+            ("01", "01", 0),
+            ("-01", "-01", 0),
+            ("00.5", "00.5", 0),
+            ("1.e5", "1.e5", 0),
+            ("1e", "1e", 0),
+            ("1e+", "1e+", 0),
+            ("-", "-", 0),
+            ("-e5", "-e5", 0),
+            ("[1, 2.]", "2.", 4),
+            ("{\"a\": 012}", "012", 6),
+        ] {
+            let err = parse(bad).expect_err(bad);
+            let message = format!("bad number `{text}`");
+            assert_eq!((err.message.as_str(), err.position), (message.as_str(), Some(position)));
+        }
     }
 }

@@ -332,6 +332,22 @@ struct PendingHead {
 pub struct RequestParser {
     buf: Vec<u8>,
     pending: Option<PendingHead>,
+    /// Where the head scan resumes, so a head dripped one byte per push
+    /// is scanned once in total, not once per push.
+    scan: HeadScan,
+}
+
+/// Progress of [`RequestParser::find_head_end`] through a head that has
+/// not yet ended: offsets into the buffer, which only grows until the
+/// head is consumed.
+#[derive(Debug, Default)]
+struct HeadScan {
+    /// Bytes already searched for `\n`.
+    scanned: usize,
+    /// Start of the line that is still open.
+    line_start: usize,
+    /// Complete non-blank lines so far (request line included).
+    lines: usize,
 }
 
 impl RequestParser {
@@ -353,35 +369,34 @@ impl RequestParser {
 
     /// Scans for the blank line ending the head, enforcing the line and
     /// header-count caps on the buffered prefix so a client cannot grow
-    /// the buffer without ever terminating a line.
-    fn find_head_end(&self, limits: &HttpLimits) -> Result<Option<usize>, HttpError> {
-        let mut lines = 0usize;
-        let mut start = 0usize;
+    /// the buffer without ever terminating a line. Resumes where the last
+    /// call stopped; an error leaves the cursor where it was, so asking
+    /// again gives the same error.
+    fn find_head_end(&mut self, limits: &HttpLimits) -> Result<Option<usize>, HttpError> {
+        let scan = &mut self.scan;
         loop {
-            match self.buf[start..].iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if pos + 1 > limits.max_line_bytes + 1 {
-                        return Err(HttpError::HeaderTooLarge);
-                    }
-                    let line = &self.buf[start..start + pos];
-                    let line = line.strip_suffix(b"\r").unwrap_or(line);
-                    if line.is_empty() {
-                        return Ok(Some(start + pos + 1));
-                    }
-                    lines += 1;
-                    // The request line plus at most `max_headers` headers.
-                    if lines > limits.max_headers + 1 {
-                        return Err(HttpError::HeaderTooLarge);
-                    }
-                    start += pos + 1;
+            let Some(pos) = self.buf[scan.scanned..].iter().position(|&b| b == b'\n') else {
+                if self.buf.len() - scan.line_start > limits.max_line_bytes + 1 {
+                    return Err(HttpError::HeaderTooLarge);
                 }
-                None => {
-                    if self.buf.len() - start > limits.max_line_bytes + 1 {
-                        return Err(HttpError::HeaderTooLarge);
-                    }
-                    return Ok(None);
-                }
+                scan.scanned = self.buf.len();
+                return Ok(None);
+            };
+            let newline = scan.scanned + pos;
+            if newline - scan.line_start > limits.max_line_bytes {
+                return Err(HttpError::HeaderTooLarge);
             }
+            let line = &self.buf[scan.line_start..newline];
+            if line.strip_suffix(b"\r").unwrap_or(line).is_empty() {
+                return Ok(Some(newline + 1));
+            }
+            // The request line plus at most `max_headers` headers.
+            if scan.lines > limits.max_headers {
+                return Err(HttpError::HeaderTooLarge);
+            }
+            scan.lines += 1;
+            scan.line_start = newline + 1;
+            scan.scanned = newline + 1;
         }
     }
 
@@ -457,6 +472,7 @@ impl RequestParser {
                 return Ok(None);
             };
             let head: Vec<u8> = self.buf.drain(..head_end).collect();
+            self.scan = HeadScan::default();
             let pending = RequestParser::parse_head(&head, limits)?;
             if pending.content_length > limits.max_body_bytes {
                 return Err(HttpError::BodyTooLarge {
@@ -810,6 +826,73 @@ mod tests {
         let mut parser = RequestParser::new();
         parser.push(b"GET / HTTP/2\r\n\r\n");
         assert!(matches!(parser.try_parse(&limits), Err(HttpError::Malformed(_))));
+    }
+
+    /// The outcome of parsing `text` with `limits`, pushed in chunks of
+    /// `chunk` bytes with a `try_parse` after every push, rendered for
+    /// comparison (neither `Request` nor `HttpError` is `PartialEq`).
+    fn parse_in_chunks(text: &[u8], chunk: usize, limits: &HttpLimits) -> String {
+        let mut parser = RequestParser::new();
+        for piece in text.chunks(chunk) {
+            parser.push(piece);
+            match parser.try_parse(limits) {
+                Ok(None) => {}
+                done => return format!("{done:?}"),
+            }
+        }
+        "incomplete".to_string()
+    }
+
+    #[test]
+    fn dripped_requests_parse_like_whole_ones() {
+        let limits = HttpLimits { max_line_bytes: 64, max_headers: 4, max_body_bytes: 1024 };
+        let long_line = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(100));
+        let headers: String = (0..5).map(|i| format!("X-H{i}: v\r\n")).collect();
+        let too_many = format!("GET / HTTP/1.1\r\n{headers}\r\n");
+        let cases: [&[u8]; 6] = [
+            b"POST /estimate HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
+            b"GET /healthz HTTP/1.0\nConnection: keep-alive\n\n",
+            long_line.as_bytes(),
+            too_many.as_bytes(),
+            b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 4096\r\n\r\n",
+        ];
+        for text in cases {
+            let whole = parse_in_chunks(text, text.len(), &limits);
+            assert_ne!(whole, "incomplete");
+            assert_eq!(
+                parse_in_chunks(text, 1, &limits),
+                whole,
+                "{}",
+                String::from_utf8_lossy(text)
+            );
+        }
+    }
+
+    #[test]
+    fn a_half_megabyte_head_dripped_byte_by_byte_parses_in_linear_time() {
+        // 62 headers just under the 8 KiB line cap: a legal head that a
+        // scanner restarting from byte 0 on every push takes minutes on.
+        let limits = HttpLimits::default();
+        let mut text = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..62 {
+            let value = "v".repeat(limits.max_line_bytes - 16);
+            text.extend_from_slice(format!("X-H{i:02}: {value}\r\n").as_bytes());
+        }
+        text.extend_from_slice(b"\r\n");
+        assert!(text.len() > 490 << 10);
+        let started = Instant::now();
+        let mut parser = RequestParser::new();
+        let mut parsed = None;
+        for byte in &text {
+            parser.push(std::slice::from_ref(byte));
+            parsed = parser.try_parse(&limits).expect("legal head");
+        }
+        let elapsed = started.elapsed();
+        let req = parsed.expect("complete after the last byte");
+        assert_eq!(req.headers.len(), 62);
+        assert!(parser.is_empty());
+        assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
     }
 
     #[test]

@@ -203,6 +203,33 @@ fn mid_response_hangup_leaves_no_stuck_worker() {
 }
 
 #[test]
+fn one_string_body_at_the_size_cap_answers_inside_the_deadline() {
+    // A legal body just under `max_body_bytes` that is almost entirely one
+    // JSON string: a decoder that re-scans the rest of the input for
+    // every character holds a worker for minutes on it.
+    let workers = 2;
+    let config = ServerConfig { workers, ..ServerConfig::default() };
+    let (limit, deadline) = (config.limits.max_body_bytes, config.request_deadline);
+    let handle = start(config);
+    let addr = handle.addr();
+
+    let head = r#"{"platform": {"name": "hostile", "pes": [{"name": "cpu", "pum": "microblaze"}], "processes": [{"name": "main", "pe": "cpu", "source": "/* "#;
+    let tail = r#" */ void main() { out(1); }"}]}, "sweep": [{"icache": 2048, "dcache": 2048}]}"#;
+    let body = format!("{head}{}{tail}", "a".repeat(limit - 1 - head.len() - tail.len()));
+    assert_eq!(body.len(), limit - 1);
+
+    let started = Instant::now();
+    let resp = post(addr, "/estimate", &body);
+    let elapsed = started.elapsed();
+    assert!(matches!(status_of(&resp), 200 | 400), "got: {}", &resp[..resp.len().min(400)]);
+    assert!(elapsed < deadline / 4, "answered after {elapsed:?}");
+
+    wait_for_jobs_to_finish(addr);
+    assert_workers_intact(addr, workers as u64);
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_payload_answers_413_without_reading_it() {
     let handle = start(ServerConfig {
         workers: 2,
